@@ -23,7 +23,14 @@ keep-alive client threads, once in the legacy global-lock mode
 ``query_throughput_rps`` (gated, higher-is-better: multi-threaded
 serving must not silently lose throughput) and the per-endpoint
 ``query_p99_seconds_*`` tail latencies straight from the server's
-log-bucketed histograms.  The concurrent-vs-serialized speedup floor
+log-bucketed histograms.  Every request is also timed from the
+client, send to last byte: ``query_client_p50_seconds`` /
+``query_client_p99_seconds`` and ``query_transport_gap`` (client p50
+over the server's ``query.request_seconds`` p50) show what the
+handler histograms cannot — time spent in the transport — and the
+client p50 must stay under ``_CLIENT_P50_CEILING`` on any host, so a
+return of the ~40 ms Nagle/delayed-ACK stall per keep-alive request
+fails here loudly.  The concurrent-vs-serialized speedup floor
 only *fails* under ``REPRO_BENCH_REQUIRE_SPEEDUP=1`` (set by CI, which
 has multiple vCPUs) — a single-core dev box cannot overlap requests
 and would fail the floor for hardware reasons, exactly like the shard
@@ -34,6 +41,7 @@ from __future__ import annotations
 
 import http.client
 import os
+import statistics
 import threading
 import time
 
@@ -54,6 +62,10 @@ _REQUESTS_PER_CLIENT = 300
 #: Required concurrent/serialized throughput ratio when the floor is
 #: armed (REPRO_BENCH_REQUIRE_SPEEDUP=1; CI runs with >= 4 vCPUs).
 _SPEEDUP_FLOOR = 1.05
+
+#: Client-observed p50 ceiling (s) of the concurrent arm, always armed:
+#: the stall it guards against costs 40+ ms per request.
+_CLIENT_P50_CEILING = 0.010
 
 
 def test_query_service_lookups(
@@ -135,8 +147,9 @@ def test_query_service_lookups(
     artifact.close()
 
 
-def _serve_and_hammer(artifact, nodes, *, serialize: bool) -> tuple[float, dict]:
-    """Serve ``artifact`` and hammer it; returns (wall, metrics dict).
+def _serve_and_hammer(artifact, nodes, *, serialize: bool) -> tuple[float, dict, list[float]]:
+    """Serve ``artifact`` and hammer it; returns (wall, metrics dict,
+    client-observed per-request seconds).
 
     ``_CLIENTS`` threads each issue ``_REQUESTS_PER_CLIENT`` requests
     over one keep-alive :class:`http.client.HTTPConnection`, cycling
@@ -150,6 +163,7 @@ def _serve_and_hammer(artifact, nodes, *, serialize: bool) -> tuple[float, dict]
     host, port = server.server_address[:2]
     n = len(nodes)
     bad: list[int] = []
+    latencies: list[float] = []
 
     def client(t: int) -> None:
         conn = http.client.HTTPConnection(host, port, timeout=30)
@@ -161,9 +175,11 @@ def _serve_and_hammer(artifact, nodes, *, serialize: bool) -> tuple[float, dict]
                     f"/band?as={node}",
                     "/top?metric=density&n=5",
                 )[i % 3]
+                start = time.perf_counter()
                 conn.request("GET", path)
                 response = conn.getresponse()
                 response.read()
+                latencies.append(time.perf_counter() - start)
                 if response.status != 200:
                     bad.append(response.status)
         finally:
@@ -183,7 +199,7 @@ def _serve_and_hammer(artifact, nodes, *, serialize: bool) -> tuple[float, dict]
     data = metrics.to_dict()
     total = _CLIENTS * _REQUESTS_PER_CLIENT
     assert data["counters"]["query.requests"] == total, "lost counter updates"
-    return wall, data
+    return wall, data, latencies
 
 
 def test_query_service_concurrent(context, emit, bench_record, tmp_path):
@@ -196,8 +212,8 @@ def test_query_service_concurrent(context, emit, bench_record, tmp_path):
     nodes = artifact.nodes
     total = _CLIENTS * _REQUESTS_PER_CLIENT
 
-    serial_wall, _serial_data = _serve_and_hammer(artifact, nodes, serialize=True)
-    concurrent_wall, data = _serve_and_hammer(artifact, nodes, serialize=False)
+    serial_wall, _serial_data, _ = _serve_and_hammer(artifact, nodes, serialize=True)
+    concurrent_wall, data, latencies = _serve_and_hammer(artifact, nodes, serialize=False)
 
     serial_rps = total / serial_wall
     concurrent_rps = total / concurrent_wall
@@ -209,11 +225,13 @@ def test_query_service_concurrent(context, emit, bench_record, tmp_path):
     bench_record["query_concurrent_speedup"] = round(speedup, 3)
 
     rows = []
+    server_p50s = []
     histograms = data["histograms"]
     for endpoint in ("membership", "band", "top"):
         summary = histograms[f'query.request_seconds{{endpoint="{endpoint}"}}']
         bench_record[f"query_p99_seconds_{endpoint}"] = round(summary["p99"], 6)
         bench_record[f"query_p50_seconds_{endpoint}"] = round(summary["p50"], 6)
+        server_p50s.append(summary["p50"])
         rows.append(
             [
                 endpoint,
@@ -228,6 +246,24 @@ def test_query_service_concurrent(context, emit, bench_record, tmp_path):
         assert summary["count"] == total // 3
         assert summary["p99"] >= summary["p50"] > 0.0
 
+    # The mix is an equal share of each endpoint, so the median of the
+    # per-endpoint server p50s stands for the whole mix.
+    client_p50 = statistics.median(latencies)
+    client_p99 = statistics.quantiles(latencies, n=100)[98]
+    server_p50 = statistics.median(server_p50s)
+    bench_record["query_client_p50_seconds"] = round(client_p50, 6)
+    bench_record["query_client_p99_seconds"] = round(client_p99, 6)
+    bench_record["query_transport_gap"] = round(client_p50 / server_p50, 1)
+    rows.append(
+        [
+            "client (all)",
+            len(latencies),
+            round(client_p50 * 1e6, 1),
+            round(client_p99 * 1e6, 1),
+            round(max(latencies) * 1e6, 1),
+        ]
+    )
+
     table = ascii_table(
         ["endpoint", "requests", "p50 (us)", "p99 (us)", "max (us)"],
         rows,
@@ -239,6 +275,11 @@ def test_query_service_concurrent(context, emit, bench_record, tmp_path):
         ),
     )
     emit("query_service_concurrent", table)
+
+    assert client_p50 < _CLIENT_P50_CEILING, (
+        f"client-observed p50 {client_p50 * 1e3:.1f} ms over keep-alive "
+        f"(server p50 {server_p50 * 1e3:.3f} ms): the transport is stalling"
+    )
 
     if os.environ.get("REPRO_BENCH_REQUIRE_SPEEDUP"):
         assert speedup >= _SPEEDUP_FLOOR, (

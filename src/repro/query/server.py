@@ -21,9 +21,11 @@ Endpoints (all ``GET``)::
     /community?label=L[&members=1] one community record (+ members)
 
 Errors are JSON too: 400 for malformed parameters, 404 for unknown
-ASes/labels/paths, never a traceback page.  AS parameters are parsed
-as integers when possible (AS numbers are ints), falling back to the
-raw string for string-labelled graphs.
+ASes/labels/paths, and http.server's own replies (a garbage request
+line, an unsupported method) as ``{"error": ...}`` — never an HTML or
+traceback page.  AS parameters are parsed as integers when possible
+(AS numbers are ints), falling back to the raw string for
+string-labelled graphs.
 
 Concurrency model (the artifact is immutable, so reads need no
 coordination at all):
@@ -50,6 +52,14 @@ coordination at all):
 * ``serialize_requests=True`` restores the old global-lock behaviour
   — kept as the *baseline* arm of the concurrency benchmark and for
   bisecting concurrency bugs, not for production use.
+
+Transport: every accepted connection gets ``TCP_NODELAY``.  A reply
+is two writes (headers, then body) and a keep-alive client's next
+request waits on the body, so with Nagle's algorithm on, the body
+segment would sit until the client's delayed ACK (~40 ms) — a stall
+four orders of magnitude above the handler's own cost.  A connection
+idle for :data:`IDLE_TIMEOUT_S` is closed, so idle sockets cannot pin
+handler threads forever.
 
 Access logging: the default stderr log stays silenced, but when the
 process has a configured :mod:`repro.obs.logging` logger (``--log-json``)
@@ -90,6 +100,10 @@ ENDPOINTS = (
     "top",
     "community",
 )
+
+#: Seconds a connection may sit idle (no request bytes) before the
+#: server closes it and its handler thread exits.
+IDLE_TIMEOUT_S = 60.0
 
 _LOG = get_logger(component="query.server")
 
@@ -188,6 +202,13 @@ class QueryServer(ThreadingHTTPServer):
 class _QueryRequestHandler(BaseHTTPRequestHandler):
     server_version = "repro-query"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on each accepted socket (``StreamRequestHandler
+    #: .setup``): without it the body write waits for the client's
+    #: delayed ACK of the header write on every keep-alive request.
+    disable_nagle_algorithm = True
+    #: Per-socket timeout; ``handle_one_request`` turns its expiry into
+    #: a clean close of the idle connection.
+    timeout = IDLE_TIMEOUT_S
     server: QueryServer
 
     # ------------------------------------------------------------------
@@ -290,6 +311,21 @@ class _QueryRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+
+    def send_error(self, code: int, message: str | None = None, explain: str | None = None) -> None:
+        """http.server's own error replies (bad request line, unsupported
+        method, oversized line) as JSON; the connection still closes and
+        ``HEAD`` still gets no body, as in the stdlib."""
+        if message is None:
+            message = self.responses.get(code, ("error",))[0]
+        body = json.dumps({"error": message}).encode("utf-8")
+        self.send_response(code)
+        self.send_header("Connection", "close")
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        if self.command != "HEAD":
+            self.wfile.write(body)
 
     def log_message(self, format: str, *args) -> None:
         """Silence the default stderr access log; ``query.access``

@@ -14,7 +14,10 @@ from __future__ import annotations
 import http.client
 import io
 import json
+import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -36,6 +39,7 @@ from repro.query import (
     build_artifact,
     make_server,
 )
+from repro.query.server import _QueryRequestHandler
 
 
 # ----------------------------------------------------------------------
@@ -452,6 +456,95 @@ class TestServer:
         samples = parse_exposition(text)
         assert samples[("repro_query_requests_total", ())] >= 1
 
+    # -- transport -----------------------------------------------------
+    def test_keepalive_round_trips_do_not_stall(self, server, loaded):
+        """Sequential requests on one connection answer in well under the
+        ~40 ms a Nagle/delayed-ACK stall would add to each of them."""
+        conn = http.client.HTTPConnection(*server.server_address[:2], timeout=10)
+        round_trips = []
+        try:
+            for i in range(50):
+                node = loaded.nodes[i % len(loaded.nodes)]
+                start = time.perf_counter()
+                conn.request("GET", f"/band?as={node}")
+                response = conn.getresponse()
+                response.read()
+                round_trips.append(time.perf_counter() - start)
+                assert response.status == 200
+        finally:
+            conn.close()
+        assert statistics.median(round_trips) < 0.010
+
+    def test_accepted_sockets_set_tcp_nodelay(self, loaded):
+        seen: list[int] = []
+
+        class Probe(_QueryRequestHandler):
+            def setup(self):
+                super().setup()
+                seen.append(self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        server, thread, _tracer, _metrics = _fresh_server(loaded)
+        server.RequestHandlerClass = Probe
+        try:
+            assert _get(server, "/health")[0] == 200
+        finally:
+            _stop(server, thread)
+        assert len(seen) == 1 and seen[0] != 0
+
+    def test_idle_connection_is_closed(self, loaded):
+        """An idle socket is dropped after the handler timeout and its
+        handler thread exits, instead of pinning the thread forever."""
+        assert _QueryRequestHandler.timeout is not None
+        handlers: list[threading.Thread] = []
+
+        class ShortIdle(_QueryRequestHandler):
+            timeout = 0.5
+
+            def setup(self):
+                handlers.append(threading.current_thread())
+                super().setup()
+
+        server, thread, _tracer, _metrics = _fresh_server(loaded)
+        server.RequestHandlerClass = ShortIdle
+        baseline = threading.active_count()
+        try:
+            with socket.create_connection(server.server_address[:2], timeout=10) as sock:
+                assert sock.recv(1) == b""
+            assert len(handlers) == 1
+            handlers[0].join(timeout=5)
+            assert not handlers[0].is_alive()
+            assert threading.active_count() <= baseline
+        finally:
+            _stop(server, thread)
+
+    # -- http.server's own error paths ---------------------------------
+    def test_unsupported_method_is_json_501(self, server):
+        conn = http.client.HTTPConnection(*server.server_address[:2], timeout=10)
+        try:
+            conn.request("POST", "/health", body=b"")
+            response = conn.getresponse()
+            body = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 501
+        assert response.getheader("Content-Type") == "application/json"
+        assert response.getheader("Connection") == "close"
+        assert "POST" in body["error"]
+
+    def test_head_error_has_no_body(self, server):
+        reply = _raw_exchange(server, b"HEAD /health HTTP/1.1\r\nHost: x\r\n\r\n")
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 501 ")
+        assert b"Content-Type: application/json" in head
+        assert body == b""
+
+    def test_malformed_request_line_is_json_400(self, server):
+        reply = _raw_exchange(server, b"GET /band as=1 HTTP/1.1\r\n\r\n")
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Content-Type: application/json" in head
+        assert "Bad request syntax" in json.loads(body)["error"]
+
 
 # ----------------------------------------------------------------------
 # Concurrent serving: no global lock, no lost telemetry
@@ -467,6 +560,22 @@ def _fresh_server(loaded, **kwargs):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server, thread, tracer, metrics
+
+
+def _stop(server, thread):
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+def _raw_exchange(server, request: bytes) -> bytes:
+    """Send raw request bytes; everything the server writes until it closes."""
+    with socket.create_connection(server.server_address[:2], timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
 
 
 class TestConcurrentServing:
